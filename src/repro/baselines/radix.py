@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.algorithms.registry import register_algorithm
 from repro.bsp.engine import Context
+from repro.core.data_movement import partition_by_splitters
 from repro.errors import ConfigError
 
 __all__ = ["RadixConfig", "RadixStats", "radix_sort_program"]
@@ -126,20 +127,14 @@ def radix_sort_program(
             work = work[order]
             digits = digits[order]
             ctx.charge_sort(len(work), key_bytes=dtype.itemsize)
-            bounds = np.searchsorted(digits, np.arange(nbuckets + 1))
-            parts = [
-                work[bounds[d]: bounds[d + 1]] for d in range(nbuckets)
-            ]
-            # Digit d goes to rank d (nbuckets <= p); pad with empties.
-            parts.extend(
-                np.empty(0, dtype=work.dtype) for _ in range(p - nbuckets)
+            # Digit d goes to rank d (nbuckets <= p); ranks >= nbuckets
+            # receive nothing.
+            counts = np.zeros(p, dtype=np.int64)
+            counts[:nbuckets] = partition_by_splitters(
+                len(work), np.searchsorted(digits, np.arange(1, nbuckets))
             )
-            received = yield from ctx.alltoall(parts)
-            work = (
-                np.concatenate([r for r in received if len(r)])
-                if any(len(r) for r in received)
-                else work[:0]
-            )
+            received = yield from ctx.alltoall(work, counts)
+            work = np.concatenate(received)
             ctx.charge_bytes(len(work) * dtype.itemsize)
             shift += bits_per_pass
 

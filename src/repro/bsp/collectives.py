@@ -15,23 +15,30 @@ scatter        ``payloads[root][i]``
 reduce         combined value at root, ``None`` elsewhere
 allreduce      combined value everywhere
 scan           inclusive prefix combination of payloads ``0..i``
-alltoall       ``[payloads[j][i] for j in range(p)]``
+alltoallv      ``[run(j, i) for j in range(p)]``: the ``counts_j[i]`` rows
+               of rank ``j``'s send buffer that follow its runs for
+               ranks ``0..i-1`` (views, in source order)
 exchange       partner's payload (pairwise, partners must be symmetric)
 =============  ======================================================
 
+``alltoallv`` has MPI's ``Alltoallv`` shape (MPI-3.1 §5.8): each rank sends
+one contiguous buffer — a key array, or a ``(keys, payload)`` pair of
+row-aligned columns — plus ``p`` send counts, and its runs go out in
+destination order.  The ``p×p`` byte matrix is ``counts × row_bytes``, one
+NumPy operation, with no per-run sizing.
+
 Reductions support ``'sum'``, ``'min'``, ``'max'`` and operate elementwise on
-NumPy arrays or directly on scalars.  Payload sizes are measured with
-:func:`sizeof`, which understands NumPy arrays, scalars, strings, bytes and
-(recursively) containers.  ``sizeof`` is on the engine's superstep hot path
-(every collective sizes every rank's payload), so it dispatches through a
-per-type cache with vectorized fast paths for the payload shapes the sort
-programs actually send — ndarrays, scalars, and flat homogeneous sequences
-of either; :func:`sizeof_reference` keeps the plain recursive walk as the
-semantic ground truth the fast path is tested against.
+NumPy arrays or directly on scalars.  Payload sizes of the other ops are
+measured with :func:`sizeof`, which understands NumPy arrays, scalars,
+strings, bytes and (recursively) containers.  ``sizeof`` sizes every rank's
+payload at every such collective, so it dispatches through a per-type cache
+with vectorized fast paths for the payload shapes the sort programs send —
+ndarrays, scalars, and flat homogeneous sequences of either.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -40,47 +47,10 @@ from repro.errors import BSPError, CollectiveMismatchError
 
 __all__ = [
     "sizeof",
-    "sizeof_reference",
     "resolve",
     "ResolvedCollective",
     "REDUCERS",
 ]
-
-
-def sizeof_reference(obj: Any) -> int:
-    """Approximate wire size of a payload in bytes (recursive reference).
-
-    NumPy arrays report their exact buffer size; Python scalars count as 8
-    bytes (their natural wire encoding); containers sum their elements.  The
-    goal is faithful *relative* accounting for the cost model, not Python
-    object-graph memory measurement.
-
-    This is the original, obviously-correct recursive walk.  :func:`sizeof`
-    is the production entry point and must agree with it on every payload;
-    ``tests/bsp/test_sizeof.py`` enforces the equivalence.
-    """
-    if obj is None:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, np.void):
-        # Structured scalar (one record row): exact record bytes, not the
-        # generic 8-byte scalar word.
-        return int(obj.nbytes)
-    if isinstance(obj, (bool, int, float, complex, np.generic)):
-        return 8
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj.encode())
-    if isinstance(obj, dict):
-        return sum(sizeof_reference(k) + sizeof_reference(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(sizeof_reference(x) for x in obj)
-    # Dataclass-ish objects: count their public attributes.
-    if hasattr(obj, "__dict__"):
-        return sum(sizeof_reference(v) for v in vars(obj).values())
-    return 8
 
 
 # ------------------------------------------------------------------ #
@@ -120,8 +90,8 @@ def _sizeof_dict(obj: dict) -> int:
 def _sizeof_flat_sequence(obj: Any) -> int:
     """Size a list/tuple/set, batching the homogeneous flat shapes.
 
-    The sort programs overwhelmingly send flat sequences — per-destination
-    ndarray rows for ``alltoall``, splitter/count vectors as Python lists.
+    The sort programs overwhelmingly send flat sequences — gathered sample
+    arrays, splitter/count vectors as Python lists.
     When every element is the same scalar type the answer is ``8 * len``;
     when every element is an ndarray the buffer sizes sum without any
     per-element dispatch.  Mixed/nested sequences fall back to the generic
@@ -144,8 +114,8 @@ def _sizeof_flat_sequence(obj: Any) -> int:
 
 
 #: Exact-type dispatch table.  Seeded with the builtin payload types; other
-#: types are resolved once through the isinstance ladder of
-#: :func:`sizeof_reference` and then memoized, so repeated payloads of the
+#: types are resolved once through :func:`_resolve_handler`'s isinstance
+#: ladder and then memoized, so repeated payloads of the
 #: same type (the common case inside a superstep sweep) never re-walk it.
 _SIZEOF_DISPATCH: dict[type, Callable[[Any], int]] = {
     type(None): _sizeof_none,
@@ -168,7 +138,7 @@ _SIZEOF_DISPATCH: dict[type, Callable[[Any], int]] = {
 
 
 def _resolve_handler(kind: type) -> Callable[[Any], int]:
-    """Mirror ``sizeof_reference``'s isinstance ladder, once per type."""
+    """Pick a type's handler by isinstance, once per type."""
     if issubclass(kind, np.ndarray):
         return _sizeof_ndarray
     if issubclass(kind, np.void):
@@ -189,7 +159,7 @@ def _resolve_handler(kind: type) -> Callable[[Any], int]:
 def _sizeof_attrs_or_opaque(obj: Any) -> int:
     # Dataclass-ish objects count their attributes; instances without a
     # __dict__ (pure-__slots__ classes, opaque extension types) count as one
-    # 8-byte word, matching sizeof_reference's terminal case.
+    # 8-byte word.
     try:
         attrs = vars(obj)
     except TypeError:
@@ -198,10 +168,14 @@ def _sizeof_attrs_or_opaque(obj: Any) -> int:
 
 
 def sizeof(obj: Any) -> int:
-    """Approximate wire size of a payload in bytes (cached fast path).
+    """Approximate wire size of a payload in bytes.
 
-    Semantics are exactly those of :func:`sizeof_reference`; the dispatch
-    cache and the flat-sequence batching only change the constant factor.
+    NumPy arrays report their exact buffer size (structured scalars their
+    record bytes); Python and NumPy scalars count as 8 bytes (their natural
+    wire encoding); strings and buffers their byte length; containers sum
+    their elements, dicts their keys and values, and other objects their
+    public attributes.  The goal is faithful *relative* accounting for the
+    cost model, not Python object-graph memory measurement.
     """
     handler = _SIZEOF_DISPATCH.get(type(obj))
     if handler is None:
@@ -258,6 +232,73 @@ class ResolvedCollective:
         self.total_bytes = total_bytes
 
 
+def _alltoallv_error(rank: int, message: str) -> BSPError:
+    err = BSPError(f"alltoallv at rank {rank}: {message}")
+    err.ranks = (rank,)
+    return err
+
+
+def _resolve_alltoallv(payloads: list[Any]) -> ResolvedCollective:
+    """Route every rank's ``(sendbuf, counts)`` runs, in source order.
+
+    ``sendbuf`` is one array or a ``(keys, payload)`` pair of row-aligned
+    arrays; ``counts[j]`` consecutive rows go to rank ``j``.  The receiver
+    of a pair gets ``(keys, payload)`` views per source.
+    """
+    p = len(payloads)
+    columns: list[tuple[np.ndarray, ...]] = []
+    counts = np.empty((p, p), dtype=np.int64)
+    row_bytes = np.empty(p, dtype=np.int64)
+    for r, request in enumerate(payloads):
+        if not (isinstance(request, tuple) and len(request) == 2):
+            raise _alltoallv_error(r, "expected a (sendbuf, counts) pair")
+        sendbuf, rank_counts = request
+        cols = sendbuf if isinstance(sendbuf, tuple) else (sendbuf,)
+        if not cols or not all(isinstance(c, np.ndarray) for c in cols):
+            raise _alltoallv_error(
+                r, "send buffer must be an array or a tuple of arrays"
+            )
+        rows = len(cols[0])
+        if any(len(c) != rows for c in cols):
+            raise _alltoallv_error(r, "send buffer columns differ in length")
+        rank_counts = np.asarray(rank_counts)
+        if rank_counts.shape != (p,) or rank_counts.dtype.kind not in "iu":
+            raise _alltoallv_error(
+                r,
+                f"send counts must be {p} integers, got shape "
+                f"{rank_counts.shape} of {rank_counts.dtype}",
+            )
+        if (rank_counts < 0).any() or int(rank_counts.sum()) != rows:
+            raise _alltoallv_error(
+                r,
+                f"send counts {rank_counts.tolist()[:8]} must be "
+                f"non-negative and sum to the buffer's {rows} rows",
+            )
+        columns.append(cols)
+        counts[r] = rank_counts
+        row_bytes[r] = sum(c.itemsize * math.prod(c.shape[1:]) for c in cols)
+
+    # Cut every sender's buffer into its p runs, then transpose: the
+    # receiver of column dst gets run dst of every sender, in source order.
+    ends = np.cumsum(counts, axis=1)
+    starts = (ends - counts).tolist()
+    sent: list[list[Any]] = []
+    for cols, lo, hi in zip(columns, starts, ends.tolist()):
+        if len(cols) == 1:
+            buf = cols[0]
+            sent.append([buf[a:b] for a, b in zip(lo, hi)])
+        else:
+            sent.append([tuple(c[a:b] for c in cols) for a, b in zip(lo, hi)])
+    results = [list(runs) for runs in zip(*sent)]
+
+    # Row sums are the send volumes, column sums the receive volumes.
+    elem_bytes = counts * row_bytes[:, None]
+    send_bytes = elem_bytes.sum(axis=1)
+    recv_bytes = elem_bytes.sum(axis=0)
+    vmax = int((send_bytes + recv_bytes).max()) if p else 0
+    return ResolvedCollective(results, vmax, int(send_bytes.sum()))
+
+
 def resolve(
     op: str,
     payloads: list[Any],
@@ -287,23 +328,8 @@ def resolve(
         chunk_total = sum(sizeof(c) for c in chunks)
         return ResolvedCollective(list(chunks), chunk_total, chunk_total)
 
-    if op in ("alltoall", "alltoallv"):
-        for r, row in enumerate(payloads):
-            if row is None or len(row) != p:
-                raise BSPError(
-                    f"alltoall payload at rank {r} must be a length-{p} "
-                    f"sequence of per-destination items"
-                )
-        results = [[payloads[src][dst] for src in range(p)] for dst in range(p)]
-        # Size every (src, dst) element exactly once: row sums are the send
-        # volumes, column sums the receive volumes.
-        elem_bytes = np.array(
-            [[sizeof(x) for x in row] for row in payloads], dtype=np.int64
-        )
-        send_bytes = elem_bytes.sum(axis=1)
-        recv_bytes = elem_bytes.sum(axis=0)
-        vmax = int((send_bytes + recv_bytes).max()) if p else 0
-        return ResolvedCollective(results, vmax, int(send_bytes.sum()))
+    if op == "alltoallv":
+        return _resolve_alltoallv(payloads)
 
     # The remaining ops all charge by per-rank payload sizes.
     sizes = [sizeof(x) for x in payloads]

@@ -216,15 +216,30 @@ class Context:
         return result
 
     def alltoall(
-        self, values: Sequence[Any], node_combining: bool = False
+        self,
+        sendbuf: Any,
+        counts: Sequence[int],
+        node_combining: bool = False,
     ) -> Generator[Any, Any, list[Any]]:
-        """Personalized all-to-all: ``values[j]`` goes to rank ``j``.
+        """Personalized all-to-all in MPI ``Alltoallv`` shape.
+
+        ``sendbuf`` is one contiguous array, or a ``(keys, payload)`` pair
+        of row-aligned arrays; its first ``counts[0]`` rows go to rank 0,
+        the next ``counts[1]`` to rank 1, and so on (``sum(counts)`` must
+        be the buffer's length).  Returns the ``p`` runs this rank
+        receives, in source-rank order: arrays, or ``(keys, payload)``
+        pairs for a pair buffer.  On in-process backends the runs are
+        views of the senders' buffers, so copy (e.g. concatenate) before
+        writing to them.
 
         With ``node_combining=True`` the superstep is *priced* as if per-node
         message combining (§6.1.1) were applied; data semantics are identical.
         """
         result = yield _Call(
-            "alltoallv", values, node_combining=node_combining, group=self._group
+            "alltoallv",
+            (sendbuf, counts),
+            node_combining=node_combining,
+            group=self._group,
         )
         return result
 

@@ -3,9 +3,11 @@ sample sort and histogram sort — §2.2 step 3).
 
 Once splitters are known, every rank cuts its sorted local array into ``p``
 contiguous runs (binary search per splitter), sends run ``i`` to rank ``i``
-in one personalized all-to-all, and merges the ``p`` sorted runs it
-receives.  Keys may carry a fixed-size payload (the Mira experiments use
-8-byte keys + 4-byte payloads); payloads are permuted along with their keys.
+in one personalized all-to-all — the sorted array itself is the send
+buffer, the run lengths are its send counts, as in MPI ``Alltoallv`` — and
+merges the ``p`` sorted runs it receives.  Keys may carry a fixed-size
+payload (the Mira experiments use 8-byte keys + 4-byte payloads); payloads
+are permuted along with their keys.
 
 Cost charging follows §5.1: partitioning is ``(p−1)`` binary searches plus a
 linear pass of memory traffic; the merge is ``(N_recv)·log p`` comparisons.
@@ -72,45 +74,42 @@ def locally_sorted_shard(
     return Shard(keys, payload)
 
 
-def partition_by_splitters(
-    shard: Shard,
-    positions: np.ndarray,
-) -> list[Shard]:
-    """Cut a sorted shard into ``len(positions)+1`` contiguous bucket runs.
+def partition_by_splitters(n: int, positions: np.ndarray) -> np.ndarray:
+    """Send counts that cut ``n`` sorted keys into ``len(positions)+1`` runs.
 
     ``positions`` are the pre-computed boundary indices (from the key-space
-    adapter's ``bucket_positions``); they must be non-decreasing.
+    adapter's ``bucket_positions``); they must be non-decreasing and lie in
+    ``[0, n]``.  Run ``i`` is ``keys[positions[i-1]:positions[i]]``, so the
+    counts are exactly what :meth:`Context.alltoall` takes for the sorted
+    array itself as the send buffer.
     """
-    n = len(shard)
     bounds = np.empty(len(positions) + 2, dtype=np.int64)
     bounds[0] = 0
     bounds[1:-1] = positions
     bounds[-1] = n
-    if np.any(np.diff(bounds) < 0):
+    counts = np.diff(bounds)
+    if np.any(counts < 0):
         raise ValueError("bucket boundary positions must be non-decreasing")
-    return [
-        shard.slice(int(bounds[i]), int(bounds[i + 1]))
-        for i in range(len(bounds) - 1)
-    ]
+    return counts
 
 
-def _merge_runs(runs: list[Shard], key_dtype: np.dtype) -> Shard:
-    """Merge ``p`` sorted runs.
+def _merge_runs(runs: list, has_payload: bool) -> Shard:
+    """Merge the ``p`` sorted runs one rank received.
 
-    Implemented as concatenate + mergesort: NumPy's mergesort (timsort) on
-    the concatenation of sorted runs detects and galloping-merges the runs,
-    which is the vectorized equivalent of a ``p``-way merge; the simulated
-    cost is charged separately as ``total·log₂(ways)`` by the caller.
+    Implemented as one concatenate + mergesort: NumPy's mergesort (timsort)
+    on the concatenation of sorted runs detects and galloping-merges the
+    runs, which is the vectorized equivalent of a ``p``-way merge; the
+    simulated cost is charged separately as ``total·log₂(ways)`` by the
+    caller.
     """
-    nonempty = [r for r in runs if len(r)]
-    if not nonempty:
-        return Shard(np.empty(0, dtype=key_dtype))
-    keys = np.concatenate([r.keys for r in nonempty])
-    have_payload = nonempty[0].payload is not None
-    if have_payload:
-        payload = np.concatenate([r.payload for r in nonempty])
+    if has_payload:
+        keys = np.concatenate([k for k, _ in runs])
+        if not len(keys):
+            return Shard(keys)
+        payload = np.concatenate([v for _, v in runs])
         order = np.argsort(keys, kind="stable")
         return Shard(keys[order], payload[order])
+    keys = np.concatenate(runs)
     keys.sort(kind="stable")
     return Shard(keys)
 
@@ -148,27 +147,23 @@ def exchange_and_merge(
         raise ValueError(
             f"expected {p - 1} boundary positions, got {len(positions)}"
         )
+    has_payload = shard.payload is not None
     if key_bytes is None:
         key_bytes = shard.keys.dtype.itemsize + (
-            shard.payload.dtype.itemsize if shard.payload is not None else 0
+            shard.payload.dtype.itemsize if has_payload else 0
         )
 
     # Bucketize: p−1 binary searches (already done by the caller to get
-    # `positions`) plus one linear pass of copies.
-    outgoing = partition_by_splitters(shard, positions)
+    # `positions`) plus one linear pass of copies.  The sorted shard is
+    # already the destination-ordered send buffer.
+    counts = partition_by_splitters(len(shard), positions)
     ctx.charge_binary_searches(p - 1, max(1, len(shard)))
     ctx.charge_bytes(len(shard) * key_bytes)
 
-    payload_rows = [
-        (run.keys, run.payload) if run.payload is not None else run.keys
-        for run in outgoing
-    ]
-    received = yield from ctx.alltoall(payload_rows, node_combining=node_combining)
-
-    if outgoing[0].payload is not None:
-        runs = [Shard(k, v) for (k, v) in received]
-    else:
-        runs = [Shard(k) for k in received]
-    merged = _merge_runs(runs, shard.keys.dtype)
+    sendbuf = (shard.keys, shard.payload) if has_payload else shard.keys
+    received = yield from ctx.alltoall(
+        sendbuf, counts, node_combining=node_combining
+    )
+    merged = _merge_runs(received, has_payload)
     ctx.charge_merge(len(merged), p, key_bytes=key_bytes)
     return merged

@@ -31,7 +31,7 @@ from repro.algorithms.registry import register_algorithm
 from repro.algorithms.spec import AlgorithmSpec
 from repro.bsp.engine import Context
 from repro.core.config import HSSConfig
-from repro.core.data_movement import Shard
+from repro.core.data_movement import Shard, partition_by_splitters
 from repro.core.hss import (
     HSS_PHASE_EXCHANGE,
     HSS_PHASE_HISTOGRAM,
@@ -80,14 +80,9 @@ def node_sample_sort(node_ctx, keys: np.ndarray, eps: float) -> Generator:
     splitters = yield from node_ctx.bcast(splitters, root=0)
     positions = np.searchsorted(keys, splitters, side="left")
     node_ctx.charge_binary_searches(c - 1, max(1, len(keys)))
-    bounds = np.concatenate(([0], positions, [len(keys)]))
-    parts = [keys[bounds[i]: bounds[i + 1]] for i in range(c)]
-    received = yield from node_ctx.alltoall(parts)
-    merged = (
-        np.concatenate([r for r in received if len(r)])
-        if any(len(r) for r in received)
-        else keys[:0]
-    )
+    counts = partition_by_splitters(len(keys), positions)
+    received = yield from node_ctx.alltoall(keys, counts)
+    merged = np.concatenate(received)
     merged.sort(kind="stable")
     node_ctx.charge_merge(len(merged), c, key_bytes=keys.dtype.itemsize)
     return merged
@@ -143,25 +138,21 @@ def hss_node_sort_program(
 
     # --- global exchange: node buckets, combined per node ----------------
     with ctx.phase(HSS_PHASE_EXCHANGE):
-        bounds = np.concatenate(([0], node_positions, [len(keys)]))
-        parts: list[np.ndarray] = [keys[:0]] * ctx.nprocs
-        for b in range(nnodes):
-            bucket = keys[bounds[b]: bounds[b + 1]]
-            dest_ranks = list(layout.ranks_on_node(b))
-            # Deal the bucket round-robin across the node's cores; the
-            # within-node pass re-balances exactly, so only rough evenness
-            # matters here.
-            pieces = np.array_split(bucket, len(dest_ranks))
-            for piece, dest in zip(pieces, dest_ranks):
-                parts[dest] = piece
+        # Deal node b's bucket across its cores in contiguous pieces, the
+        # first (bucket % cores) one key larger (np.array_split's cut); the
+        # within-node pass re-balances exactly, so only rough evenness
+        # matters here.  Nodes hold consecutive ranks, so the pieces are
+        # already in destination order.
+        node_counts = partition_by_splitters(len(keys), node_positions)
+        ranks = np.arange(ctx.nprocs)
+        node = ranks // layout.cores_per_node
+        core = ranks - node * layout.cores_per_node
+        share, extra = np.divmod(node_counts, layout.node_sizes())
+        counts = share[node] + (core < extra[node])
         ctx.charge_binary_searches(nnodes - 1, max(1, len(keys)))
         ctx.charge_bytes(len(keys) * keys.dtype.itemsize)
-        received = yield from ctx.alltoall(parts, node_combining=True)
-        mine = (
-            np.concatenate([r for r in received if len(r)])
-            if any(len(r) for r in received)
-            else keys[:0]
-        )
+        received = yield from ctx.alltoall(keys, counts, node_combining=True)
+        mine = np.concatenate(received)
         mine.sort(kind="stable")
         ctx.charge_merge(len(mine), ctx.nprocs, key_bytes=keys.dtype.itemsize)
 

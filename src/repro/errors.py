@@ -27,7 +27,13 @@ class ReproError(Exception):
 
 
 class BSPError(ReproError):
-    """Generic failure inside the BSP simulation engine."""
+    """Generic failure inside the BSP simulation engine.
+
+    ``ranks`` names the ranks whose request was at fault, when known
+    (e.g. an ``alltoallv`` whose send counts do not match its buffer).
+    """
+
+    ranks: tuple[int, ...] = ()
 
 
 class CollectiveMismatchError(BSPError):

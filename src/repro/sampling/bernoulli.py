@@ -9,7 +9,8 @@ union of the current splitter intervals (HSS rounds ≥ 2), which is where the
 sample-size savings of multi-round HSS come from.
 
 Both are O(n) vectorized; the interval-restricted variant is
-O(log n · #intervals + |G ∩ local|) by slicing the sorted local array.
+O(log n · #intervals + |G ∩ local|): one batched binary search per
+endpoint side, then one fancy index over the picked positions.
 """
 
 from __future__ import annotations
@@ -72,25 +73,47 @@ def bernoulli_sample_in_intervals(
     from a previous histogramming round; including them is harmless (their
     rank is simply re-derived) and closed semantics keep the first round
     correct when the endpoints are dtype-extreme sentinels (e.g. 0 for
-    unsigned keys).
+    unsigned keys).  Endpoints must be representable in the key dtype: they
+    are compared *as keys* (a uint64 endpoint above 2^53 is not rounded
+    through float64).
 
     ``sorted_keys`` must be ascending (the HSS local input is sorted before
     splitter determination starts, as in the paper's implementation).
+
+    Every interval's ``[start, stop)`` comes from two batched binary
+    searches; the draws per non-empty interval are exactly those of
+    :func:`bernoulli_sample` on its slice, in interval order, so the
+    generator stream does not depend on how the search is batched.
     """
     prob = min(1.0, max(0.0, float(prob)))
     if len(sorted_keys) == 0 or prob == 0.0 or not intervals:
         return sorted_keys[:0]
-    pieces: list[np.ndarray] = []
-    for lo, hi in intervals:
-        start = int(np.searchsorted(sorted_keys, lo, side="left"))
-        stop = int(np.searchsorted(sorted_keys, hi, side="right"))
-        if stop > start:
-            pieces.append(
-                bernoulli_sample(sorted_keys[start:stop], prob, rng)
-            )
-    if not pieces:
+    dtype = sorted_keys.dtype
+    starts = np.searchsorted(
+        sorted_keys, np.array([lo for lo, _ in intervals], dtype=dtype), "left"
+    )
+    stops = np.searchsorted(
+        sorted_keys, np.array([hi for _, hi in intervals], dtype=dtype), "right"
+    )
+    widths = stops - starts
+    live = widths > 0
+    starts, widths = starts[live], widths[live]
+    if prob >= 1.0:
+        # Every key of every interval, in interval order: no draws.
+        offsets = np.cumsum(widths) - widths
+        idx = np.arange(int(widths.sum())) + np.repeat(starts - offsets, widths)
+        return sorted_keys[idx]
+    picks: list[np.ndarray] = []
+    for start, width in zip(starts.tolist(), widths.tolist()):
+        count = rng.binomial(width, prob)
+        if count:
+            idx = rng.choice(width, size=count, replace=False)
+            idx.sort()
+            idx += start
+            picks.append(idx)
+    if not picks:
         return sorted_keys[:0]
-    return np.concatenate(pieces)
+    return sorted_keys[np.concatenate(picks)]
 
 
 def expected_total_sample(total_keys: int, prob: float) -> float:

@@ -104,38 +104,112 @@ class TestReductions:
         assert r.results[1][0] == 2
 
 
+def _split(buf, counts):
+    """The runs ``counts`` cuts a send buffer into, in destination order."""
+    ends = np.cumsum(counts)
+    return [buf[e - c: e] for c, e in zip(counts, ends)]
+
+
 class TestAllToAll:
     def test_transpose_semantics(self):
-        payloads = [[f"{src}->{dst}" for dst in range(3)] for src in range(3)]
-        r = resolve("alltoall", payloads, 0)
+        bufs = [np.arange(src * 100, src * 100 + 6) for src in range(3)]
+        counts = [[1, 2, 3], [0, 6, 0], [2, 2, 2]]
+        r = resolve("alltoallv", list(zip(bufs, counts)), 0)
         for dst in range(3):
-            assert r.results[dst] == [f"{src}->{dst}" for src in range(3)]
+            assert len(r.results[dst]) == 3
+            for src, got in enumerate(r.results[dst]):
+                assert np.array_equal(got, _split(bufs[src], counts[src])[dst])
+                # Views of the sender's buffer, never copies.
+                assert got.base is bufs[src]
 
     def test_bad_row_length(self):
-        with pytest.raises(BSPError, match="length-2"):
-            resolve("alltoall", [[1], [1, 2]], 0)
+        # Counts of the wrong length: a structured error naming the rank.
+        payloads = [(np.arange(1), [1, 0]), (np.arange(3), [1, 2, 0])]
+        with pytest.raises(BSPError, match="2 integers") as info:
+            resolve("alltoallv", payloads, 0)
+        assert info.value.ranks == (1,)
+
+    @pytest.mark.parametrize(
+        "payloads, match, rank",
+        [
+            (
+                [(np.arange(3), [1, 1]), (np.arange(3), [1, 2])],
+                "sum to the buffer's 3 rows",
+                0,
+            ),
+            ([(np.arange(2), [3, -1]), (np.arange(2), [1, 1])], "non-negative", 0),
+            ([(np.arange(2), [1.0, 1.0]), (np.arange(2), [1, 1])], "integers", 0),
+            (
+                [(np.arange(2), [1, 1]), ((np.arange(3), np.arange(2)), [1, 2])],
+                "differ in length",
+                1,
+            ),
+            ([[np.arange(1)], [np.arange(1)]], "sendbuf, counts", 0),
+        ],
+        ids=["bad-sum", "negative", "non-integer", "misaligned-pair", "not-a-pair"],
+    )
+    def test_malformed_request_names_its_rank(self, payloads, match, rank):
+        with pytest.raises(BSPError, match=match) as info:
+            resolve("alltoallv", payloads, 0)
+        assert info.value.ranks == (rank,)
 
     def test_byte_accounting(self):
         payloads = [
-            [np.zeros(1, np.int64), np.zeros(2, np.int64)],
-            [np.zeros(3, np.int64), np.zeros(4, np.int64)],
+            (np.zeros(3, np.int64), [1, 2]),
+            (np.zeros(7, np.int64), [3, 4]),
         ]
         r = resolve("alltoallv", payloads, 0)
         assert r.total_bytes == 8 * 10
         # rank 1 sends 7*8 and receives 6*8 -> max is rank1's 13*8 = 104.
         assert r.max_bytes == 104
 
+    def test_pair_buffer_routes_both_columns(self):
+        keys = [np.arange(4), np.arange(10, 13)]
+        recs = np.dtype([("mass", "<f8"), ("id", "<u4")])
+        payload = [np.zeros(4, recs), np.ones(3, recs)]
+        counts = [[3, 1], [0, 3]]
+        r = resolve(
+            "alltoallv",
+            [((k, v), c) for k, v, c in zip(keys, payload, counts)],
+            0,
+        )
+        (k0, v0), (k1, v1) = r.results[1]
+        assert k0.tolist() == [3] and len(v0) == 1
+        assert k1.tolist() == [10, 11, 12] and len(v1) == 3
+        # 8-byte keys + 12-byte records per row.
+        assert r.total_bytes == 7 * 20
+
+    @given(st.integers(1, 6), st.integers(0, 2**31))
+    def test_byte_matrix_equals_per_run_nbytes(self, p, seed):
+        rng = np.random.default_rng(seed)
+        recs = np.dtype([("mass", "<f8"), ("id", "<u4")])
+        payloads = []
+        for src in range(p):
+            counts = rng.integers(0, 5, p)
+            n = int(counts.sum())
+            if src % 2:
+                buf = (rng.integers(0, 100, n), np.zeros(n, recs))
+            else:
+                buf = rng.integers(0, 100, (n, 3)).astype(np.int32)
+            payloads.append((buf, counts))
+        r = resolve("alltoallv", payloads, 0)
+        # What sizeof gave each (src, dst) run before the byte matrix.
+        elem = np.array(
+            [[sizeof(r.results[dst][src]) for dst in range(p)] for src in range(p)]
+        )
+        send, recv = elem.sum(axis=1), elem.sum(axis=0)
+        assert r.total_bytes == int(send.sum())
+        assert r.max_bytes == int((send + recv).max())
+
     @given(st.integers(2, 6))
     def test_conservation(self, p):
         rng = np.random.default_rng(p)
-        payloads = [
-            [rng.integers(0, 100, rng.integers(0, 5)) for _ in range(p)]
-            for _ in range(p)
-        ]
+        payloads = []
+        for _ in range(p):
+            counts = rng.integers(0, 5, p)
+            payloads.append((rng.integers(0, 100, int(counts.sum())), counts))
         r = resolve("alltoallv", payloads, 0)
-        sent = sorted(
-            x for row in payloads for arr in row for x in arr.tolist()
-        )
+        sent = sorted(x for buf, _ in payloads for x in buf.tolist())
         got = sorted(
             x for row in r.results for arr in row for x in arr.tolist()
         )

@@ -115,10 +115,9 @@ class TestCollectiveSemantics:
 
     def test_alltoall(self):
         def program(ctx):
-            out = yield from ctx.alltoall(
-                [ctx.rank * 10 + dst for dst in range(ctx.nprocs)]
-            )
-            return out
+            sendbuf = np.array([ctx.rank * 10 + dst for dst in range(ctx.nprocs)])
+            out = yield from ctx.alltoall(sendbuf, [1] * ctx.nprocs)
+            return [int(x) for run in out for x in run]
 
         res = run(BSPEngine(3), program)
         assert res.returns[1] == [1, 11, 21]

@@ -2,9 +2,10 @@
 
 ``sizeof`` dispatches through a per-type cache with batched fast paths for
 the payload shapes the engine actually ships (ndarrays, scalars, flat
-homogeneous sequences); ``sizeof_reference`` is the original recursive
-definition.  Any divergence silently skews every byte count in the cost
-model, so equivalence is pinned here across the whole payload zoo.
+homogeneous sequences); :func:`sizeof_reference` below is the plain
+recursive definition, kept here as the test oracle.  Any divergence
+silently skews every byte count in the cost model, so equivalence is
+pinned here across the whole payload zoo.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,37 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.bsp.collectives import sizeof, sizeof_reference
+from repro.bsp.collectives import sizeof
+
+
+def sizeof_reference(obj):
+    """Approximate wire size of a payload in bytes (recursive reference).
+
+    NumPy arrays report their exact buffer size; Python scalars count as 8
+    bytes (their natural wire encoding); containers sum their elements.
+    """
+    if obj is None:
+        return 0
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, np.void):
+        # Structured scalar (one record row): exact record bytes, not the
+        # generic 8-byte scalar word.
+        return int(obj.nbytes)
+    if isinstance(obj, (bool, int, float, complex, np.generic)):
+        return 8
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode())
+    if isinstance(obj, dict):
+        return sum(sizeof_reference(k) + sizeof_reference(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(sizeof_reference(x) for x in obj)
+    # Dataclass-ish objects: count their public attributes.
+    if hasattr(obj, "__dict__"):
+        return sum(sizeof_reference(v) for v in vars(obj).values())
+    return 8
 
 
 @dataclass

@@ -148,8 +148,8 @@ class TestEngineTraceAccounting:
         import numpy as np
 
         def exchange_heavy(ctx, chunk):
-            parts = [chunk] * ctx.nprocs
-            yield from ctx.alltoall(parts)
+            sendbuf = np.tile(chunk, ctx.nprocs)
+            yield from ctx.alltoall(sendbuf, [len(chunk)] * ctx.nprocs)
             return None
 
         def run_on(topology, params):

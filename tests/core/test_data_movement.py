@@ -29,19 +29,22 @@ class TestShard:
 
 class TestPartition:
     def test_positions_cut(self):
-        shard = Shard(np.arange(10))
-        parts = partition_by_splitters(shard, np.array([3, 7]))
-        assert [len(x) for x in parts] == [3, 4, 3]
-        assert np.array_equal(parts[1].keys, [3, 4, 5, 6])
+        counts = partition_by_splitters(10, np.array([3, 7]))
+        assert counts.tolist() == [3, 4, 3]
 
     def test_empty_buckets(self):
-        shard = Shard(np.arange(4))
-        parts = partition_by_splitters(shard, np.array([0, 0, 4]))
-        assert [len(x) for x in parts] == [0, 0, 4, 0]
+        counts = partition_by_splitters(4, np.array([0, 0, 4]))
+        assert counts.tolist() == [0, 0, 4, 0]
 
     def test_decreasing_positions_rejected(self):
         with pytest.raises(ValueError):
-            partition_by_splitters(Shard(np.arange(5)), np.array([3, 1]))
+            partition_by_splitters(5, np.array([3, 1]))
+
+    def test_positions_outside_shard_rejected(self):
+        with pytest.raises(ValueError):
+            partition_by_splitters(5, np.array([2, 6]))
+        with pytest.raises(ValueError):
+            partition_by_splitters(5, np.array([-1, 2]))
 
 
 class TestExchangeAndMerge:

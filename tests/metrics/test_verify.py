@@ -58,6 +58,24 @@ class TestPermutation:
             [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
         )
 
+    def test_unsorted_output_still_checked_as_multiset(self):
+        # Outputs that are not ascending are sorted before comparing.
+        check_permutation([np.array([1, 2, 3])], [np.array([3]), np.array([2, 1])])
+        with pytest.raises(VerificationError, match="permutation"):
+            check_permutation([np.array([1, 2, 3])], [np.array([3, 1, 1])])
+
+    def test_nan_never_passes(self):
+        # NaN fails the ascending check and array_equal, as before.
+        nan = np.array([np.nan])
+        with pytest.raises(VerificationError, match="permutation"):
+            check_permutation([nan], [nan.copy()])
+
+    def test_structured_keys(self):
+        dtype = np.dtype([("key", "<i8"), ("pe", "<i8")])
+        keys = np.array([(2, 0), (1, 1)], dtype=dtype)
+        check_permutation([keys], [np.sort(keys)])
+        check_permutation([keys], [keys.copy()])
+
 
 class TestLoadBalance:
     def test_within_cap(self):

@@ -81,9 +81,10 @@ class TestIdentities:
         matrix = rng.integers(0, 100, (p, p))
 
         def program(ctx):
-            once = yield from ctx.alltoall(list(matrix[ctx.rank]))
-            twice = yield from ctx.alltoall(list(once))
-            return twice
+            ones = [1] * ctx.nprocs
+            once = yield from ctx.alltoall(matrix[ctx.rank], ones)
+            twice = yield from ctx.alltoall(np.concatenate(once), ones)
+            return np.concatenate(twice)
 
         res = BSPEngine(p).run(program)
         for r in range(p):

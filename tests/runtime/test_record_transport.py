@@ -108,8 +108,8 @@ def test_payload_columns_never_pickled(no_array_pickling):
 # --------------------------------------------------------------------- #
 def _crashing_program(ctx, keys, payload):
     # Superstep 1 ships real arrays both ways, so named segments exist.
-    parts = [keys[i::ctx.nprocs] for i in range(ctx.nprocs)]
-    yield from ctx.alltoall(parts)
+    counts = [len(piece) for piece in np.array_split(keys, ctx.nprocs)]
+    yield from ctx.alltoall(keys, counts)
     if ctx.rank == 1:
         os._exit(1)  # no atexit, no finally: the hard-crash case
     yield from ctx.barrier()
