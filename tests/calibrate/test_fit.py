@@ -1,5 +1,10 @@
 """Fitter tests: exact recovery, graceful noise, named failure modes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -212,3 +217,25 @@ class TestModeledMeasurements:
                 sum(c for c, _ in twin.compute.values()),
                 rtol=0.1,
             )
+
+
+def test_total_abs_error_does_not_depend_on_hash_seed():
+    """The quick tier's noisy ``total_abs_error_s`` is bit-identical under
+    two string-hash seeds (these two summed the phases in different orders
+    when the sum followed set iteration order)."""
+    code = (
+        "from repro.bench.runner import run_suite\n"
+        "run = run_suite('calibration_quality', 'quick')\n"
+        "noisy = next(c for c in run.cases if c.name == 'noisy')\n"
+        "print(repr(noisy.metrics['total_abs_error_s']))"
+    )
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.strip())
+    assert outputs[0] == outputs[1]
