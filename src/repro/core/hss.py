@@ -199,7 +199,7 @@ def hss_splitter_program(
                     mass = total_keys
                 else:
                     merged = state.merged_intervals()
-                    intervals = merged.pairs()
+                    intervals = (merged.lo_keys, merged.hi_keys)
                     mass = merged.mass
                 if method == "scanning":
                     prob = scanning_sample_probability(total_keys, nparts, cfg.eps)
@@ -230,11 +230,12 @@ def hss_splitter_program(
             probes = command["probes"]
         else:
             # -- step 2: sample inside intervals
+            intervals = command["intervals"]
             sample = keyspace.sample(
-                local_sorted, rank, command["intervals"], command["prob"], rng
+                local_sorted, rank, intervals, command["prob"], rng
             )
             ctx.charge_binary_searches(
-                2 * (len(command["intervals"]) if command["intervals"] else 1),
+                2 * (1 if intervals is None else len(intervals[0])),
                 max(1, n_local),
             )
 

@@ -63,16 +63,19 @@ class PlainKeySpace:
         self,
         local_sorted: np.ndarray,
         rank: int,
-        intervals: Sequence[tuple] | None,
+        intervals: tuple[np.ndarray, np.ndarray] | None,
         prob: float,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Bernoulli-sample probe keys (whole input when ``intervals`` is None)."""
+        """Bernoulli-sample probe keys (whole input when ``intervals`` is None).
+
+        ``intervals`` is the round's ``(lo_keys, hi_keys)`` endpoint arrays.
+        """
         if intervals is None:
-            intervals = (
-                [(local_sorted[0], local_sorted[-1])] if len(local_sorted) else []
-            )
-        return bernoulli_sample_in_intervals(local_sorted, intervals, prob, rng)
+            lo, hi = local_sorted[:1], local_sorted[-1:]
+        else:
+            lo, hi = intervals
+        return bernoulli_sample_in_intervals(local_sorted, lo, hi, prob, rng)
 
     def sort_unique_probes(self, pieces: Sequence[np.ndarray]) -> np.ndarray:
         """Merge gathered per-rank samples into sorted, deduplicated probes."""
@@ -155,7 +158,7 @@ class TaggedKeySpace:
         self,
         local_sorted: np.ndarray,
         rank: int,
-        intervals: Sequence[tuple] | None,
+        intervals: tuple[np.ndarray, np.ndarray] | None,
         prob: float,
         rng: np.random.Generator,
     ) -> np.ndarray:
@@ -165,12 +168,9 @@ class TaggedKeySpace:
         if intervals is None:
             ranges = [(0, n)]
         else:
-            tagged_pairs = np.array(
-                [lo for lo, _ in intervals] + [hi for _, hi in intervals],
-                dtype=self.key_dtype,
-            )
-            pos = self._positions(local_sorted, rank, tagged_pairs)
-            half = len(intervals)
+            lo, hi = intervals
+            pos = self._positions(local_sorted, rank, np.concatenate([lo, hi]))
+            half = len(lo)
             ranges = [
                 (int(pos[t]), int(min(n, pos[half + t] + 1)))
                 for t in range(half)

@@ -56,10 +56,6 @@ class MergedIntervals:
     def count(self) -> int:
         return len(self.lo_keys)
 
-    def pairs(self) -> list[tuple]:
-        """Key intervals as a list of ``(lo, hi)`` tuples for samplers."""
-        return list(zip(self.lo_keys.tolist(), self.hi_keys.tolist()))
-
 
 class SplitterState:
     """Central-processor state tracking all ``p−1`` splitter intervals."""

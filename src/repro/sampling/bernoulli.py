@@ -15,8 +15,6 @@ endpoint side, then one fancy index over the picked positions.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
@@ -62,13 +60,15 @@ def bernoulli_sample(
 
 def bernoulli_sample_in_intervals(
     sorted_keys: np.ndarray,
-    intervals: Sequence[tuple],
+    lo: np.ndarray,
+    hi: np.ndarray,
     prob: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Bernoulli-sample only keys falling in the union of key intervals.
 
-    ``intervals`` is a sequence of ``(lo, hi)`` *closed* key intervals.
+    ``lo[t] .. hi[t]`` are *closed* key intervals, the endpoints given as two
+    equal-length arrays (the splitter state's own ``lo_keys``/``hi_keys``).
     Interval endpoints are usually keys whose global rank is already known
     from a previous histogramming round; including them is harmless (their
     rank is simply re-derived) and closed semantics keep the first round
@@ -86,15 +86,11 @@ def bernoulli_sample_in_intervals(
     generator stream does not depend on how the search is batched.
     """
     prob = min(1.0, max(0.0, float(prob)))
-    if len(sorted_keys) == 0 or prob == 0.0 or not intervals:
+    if len(sorted_keys) == 0 or prob == 0.0 or len(lo) == 0:
         return sorted_keys[:0]
     dtype = sorted_keys.dtype
-    starts = np.searchsorted(
-        sorted_keys, np.array([lo for lo, _ in intervals], dtype=dtype), "left"
-    )
-    stops = np.searchsorted(
-        sorted_keys, np.array([hi for _, hi in intervals], dtype=dtype), "right"
-    )
+    starts = np.searchsorted(sorted_keys, np.asarray(lo, dtype=dtype), "left")
+    stops = np.searchsorted(sorted_keys, np.asarray(hi, dtype=dtype), "right")
     widths = stops - starts
     live = widths > 0
     starts, widths = starts[live], widths[live]

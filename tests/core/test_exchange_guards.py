@@ -32,12 +32,12 @@ def test_hss_host_work_is_per_rank_not_per_pair(monkeypatch):
 
     real_sampler = keyspace.bernoulli_sample_in_intervals
 
-    def sampler(sorted_keys, intervals, *args):
+    def sampler(sorted_keys, lo, hi, *args):
         calls["sampler"] += 1
-        calls["intervals"] += len(intervals)
+        calls["intervals"] += len(lo)
         in_sampler.append(True)
         try:
-            return real_sampler(sorted_keys, intervals, *args)
+            return real_sampler(sorted_keys, lo, hi, *args)
         finally:
             in_sampler.pop()
 

@@ -59,39 +59,45 @@ class TestBernoulliSample:
         assert np.array_equal(a, b)
 
 
+def ends(*values, dtype=np.int64):
+    """One side of the intervals: an endpoint array in the key dtype."""
+    return np.array(values, dtype=dtype)
+
+
 class TestIntervalSampling:
     def test_no_intervals(self, rng):
-        out = bernoulli_sample_in_intervals(np.arange(100), [], 1.0, rng)
+        empty = np.empty(0, dtype=np.int64)
+        out = bernoulli_sample_in_intervals(np.arange(100), empty, empty, 1.0, rng)
         assert len(out) == 0
 
     def test_closed_interval_includes_endpoints(self, rng):
         keys = np.arange(100)
-        out = bernoulli_sample_in_intervals(keys, [(10, 20)], 1.0, rng)
+        out = bernoulli_sample_in_intervals(keys, ends(10), ends(20), 1.0, rng)
         assert np.array_equal(out, np.arange(10, 21))
 
     def test_outside_interval_never_sampled(self, rng):
         keys = np.arange(1000)
-        out = bernoulli_sample_in_intervals(keys, [(100, 200)], 0.5, rng)
+        out = bernoulli_sample_in_intervals(keys, ends(100), ends(200), 0.5, rng)
         assert np.all((out >= 100) & (out <= 200))
 
     def test_multiple_disjoint_intervals(self, rng):
         keys = np.arange(1000)
         out = bernoulli_sample_in_intervals(
-            keys, [(0, 49), (500, 549)], 1.0, rng
+            keys, ends(0, 500), ends(49, 549), 1.0, rng
         )
         assert len(out) == 100
         assert np.all((out <= 49) | ((out >= 500) & (out <= 549)))
 
     def test_interval_outside_data(self, rng):
         keys = np.arange(100)
-        out = bernoulli_sample_in_intervals(keys, [(500, 600)], 1.0, rng)
+        out = bernoulli_sample_in_intervals(keys, ends(500), ends(600), 1.0, rng)
         assert len(out) == 0
 
     def test_sentinel_extremes_cover_everything(self, rng):
         keys = np.arange(100, dtype=np.int64)
         info = np.iinfo(np.int64)
         out = bernoulli_sample_in_intervals(
-            keys, [(info.min, info.max)], 1.0, rng
+            keys, ends(info.min), ends(info.max), 1.0, rng
         )
         assert len(out) == 100
 
@@ -99,7 +105,7 @@ class TestIntervalSampling:
         # Closed semantics: a uint key equal to 0 must still be sampleable.
         keys = np.arange(10, dtype=np.uint64)
         out = bernoulli_sample_in_intervals(
-            keys, [(np.uint64(0), np.uint64(2**63))], 1.0, rng
+            keys, ends(0, dtype=np.uint64), ends(2**63, dtype=np.uint64), 1.0, rng
         )
         assert len(out) == 10
 
@@ -108,7 +114,7 @@ class TestIntervalSampling:
     def test_output_always_subset(self, prob):
         rng = np.random.default_rng(1)
         keys = np.arange(200)
-        out = bernoulli_sample_in_intervals(keys, [(50, 150)], prob, rng)
+        out = bernoulli_sample_in_intervals(keys, ends(50), ends(150), prob, rng)
         assert np.all(np.isin(out, np.arange(50, 151)))
 
 

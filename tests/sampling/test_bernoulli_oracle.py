@@ -36,6 +36,13 @@ def per_interval_reference(sorted_keys, intervals, prob, rng):
     return np.concatenate(pieces)
 
 
+def endpoint_arrays(intervals, dtype):
+    """The ``(lo, hi)`` key arrays the splitter state broadcasts."""
+    lo = np.array([a for a, _ in intervals], dtype=dtype)
+    hi = np.array([b for _, b in intervals], dtype=dtype)
+    return lo, hi
+
+
 def _sentinels(dtype):
     if dtype.kind == "f":
         return [-np.inf, np.inf]
@@ -88,7 +95,8 @@ def test_batched_sampler_matches_per_interval_oracle(case):
     keys, intervals, prob, seed = case
     rng_batched = np.random.default_rng(seed)
     rng_oracle = np.random.default_rng(seed)
-    got = bernoulli_sample_in_intervals(keys, intervals, prob, rng_batched)
+    lo, hi = endpoint_arrays(intervals, keys.dtype)
+    got = bernoulli_sample_in_intervals(keys, lo, hi, prob, rng_batched)
     want = per_interval_reference(keys, intervals, prob, rng_oracle)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -98,7 +106,6 @@ def test_batched_sampler_matches_per_interval_oracle(case):
 def test_uint64_endpoints_compare_as_keys(rng):
     # A float64 search would put 2**62+12355 at index 0, not 10.
     keys = np.uint64(BIG_U64) + np.arange(40, dtype=np.uint64)
-    out = bernoulli_sample_in_intervals(
-        keys, [(BIG_U64 + 10, BIG_U64 + 12)], 1.0, rng
-    )
+    lo, hi = endpoint_arrays([(BIG_U64 + 10, BIG_U64 + 12)], keys.dtype)
+    out = bernoulli_sample_in_intervals(keys, lo, hi, 1.0, rng)
     assert out.tolist() == [BIG_U64 + 10, BIG_U64 + 11, BIG_U64 + 12]
