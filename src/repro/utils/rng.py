@@ -10,9 +10,26 @@ entire experiment.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["RngTree", "spawn_rngs"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _name_words(name: str) -> tuple[int, int]:
+    """A stream name's 64-bit FNV-1a hash as two 32-bit spawn-key words.
+
+    Python's salted ``hash`` would differ between interpreters.  The few
+    stream names recur for every rank of every run, so the byte loop is
+    memoized.
+    """
+    h = 0xCBF29CE484222325
+    for byte in name.encode():
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h & 0xFFFFFFFF, (h >> 32) & 0xFFFFFFFF
 
 
 class RngTree:
@@ -43,19 +60,13 @@ class RngTree:
         return self._seed
 
     def _child(self, *key: object) -> np.random.SeedSequence:
-        # Hash the key path into spawn_key-compatible integers.  We avoid
-        # Python's salted ``hash`` for strings; use a stable FNV-1a instead.
+        # Hash the key path into spawn_key-compatible integers.
         ints: list[int] = []
         for part in key:
             if isinstance(part, (int, np.integer)):
                 ints.append(int(part) & 0xFFFFFFFF)
             else:
-                h = 0xCBF29CE484222325
-                for byte in str(part).encode():
-                    h ^= byte
-                    h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-                ints.append(h & 0xFFFFFFFF)
-                ints.append((h >> 32) & 0xFFFFFFFF)
+                ints.extend(_name_words(str(part)))
         return np.random.SeedSequence(
             entropy=self._root.entropy,
             spawn_key=tuple(self._root.spawn_key) + tuple(ints),
