@@ -36,7 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.splitters import SplitterState
-from repro.sampling.bernoulli import bernoulli_sample_in_intervals
+from repro.sampling.bernoulli import (
+    bernoulli_positions,
+    bernoulli_sample_in_intervals,
+)
 from repro.utils.arrays import sorted_unique
 
 __all__ = ["PlainKeySpace", "TaggedKeySpace", "make_keyspace"]
@@ -163,33 +166,14 @@ class TaggedKeySpace:
         rng: np.random.Generator,
     ) -> np.ndarray:
         n = len(local_sorted)
-        if n == 0:
-            return np.empty(0, dtype=self.key_dtype)
         if intervals is None:
-            ranges = [(0, n)]
+            starts, stops = np.zeros(1, dtype=np.int64), np.array([n])
         else:
+            # Closed tagged intervals: [#local below lo, #local below hi + 1).
             lo, hi = intervals
             pos = self._positions(local_sorted, rank, np.concatenate([lo, hi]))
-            half = len(lo)
-            ranges = [
-                (int(pos[t]), int(min(n, pos[half + t] + 1)))
-                for t in range(half)
-            ]
-        prob = min(1.0, max(0.0, float(prob)))
-        picks: list[np.ndarray] = []
-        for start, stop in ranges:
-            width = stop - start
-            if width <= 0 or prob == 0.0:
-                continue
-            count = rng.binomial(width, prob) if prob < 1.0 else width
-            if count == 0:
-                continue
-            idx = rng.choice(width, size=min(count, width), replace=False) + start
-            idx.sort()
-            picks.append(idx)
-        if not picks:
-            return np.empty(0, dtype=self.key_dtype)
-        idx = np.concatenate(picks)
+            starts, stops = pos[: len(lo)], np.minimum(n, pos[len(lo) :] + 1)
+        idx = bernoulli_positions(starts, stops, prob, rng)
         out = np.empty(len(idx), dtype=self.key_dtype)
         out["key"] = local_sorted[idx]
         out["pe"] = rank

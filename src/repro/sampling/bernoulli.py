@@ -8,9 +8,15 @@ Two entry points: :func:`bernoulli_sample` draws from an entire local array,
 union of the current splitter intervals (HSS rounds ≥ 2), which is where the
 sample-size savings of multi-round HSS come from.
 
-Both are O(n) vectorized; the interval-restricted variant is
-O(log n · #intervals + |G ∩ local|): one batched binary search per
-endpoint side, then one fancy index over the picked positions.
+Both draw through :func:`bernoulli_positions`, which makes *one* draw per
+call over the union of its index ranges: a binomial count over the total
+width ``W``, then that many distinct virtual positions in ``[0, W)``, mapped
+back to real positions through the cumulative widths.  The draws are
+therefore those of :func:`bernoulli_sample` on the concatenated candidate
+keys, however many intervals ``G`` has.  The interval-restricted variant
+costs O(log n · k + |sample| · log k) for ``k`` intervals: one batched
+binary search per endpoint side, one over the cumulative widths, and one
+fancy index over the picked positions.
 """
 
 from __future__ import annotations
@@ -18,10 +24,42 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "bernoulli_positions",
     "bernoulli_sample",
     "bernoulli_sample_in_intervals",
     "expected_total_sample",
 ]
+
+
+def bernoulli_positions(
+    starts: np.ndarray, stops: np.ndarray, prob: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Pick each position of the ranges ``[starts[t], stops[t])`` independently
+    with probability ``prob`` (clipped to [0, 1]).
+
+    Empty and inverted ranges hold no position; overlapping ranges hold
+    theirs once per range.  Drawing the count first (binomial) then the
+    positions is equivalent to one coin flip per position but touches
+    O(count) memory instead of O(W).  No draw is made when the total width
+    ``W`` is 0 or ``prob`` is 0 or 1.
+
+    Returns the picked positions in range order, ascending within a range.
+    """
+    prob = min(1.0, max(0.0, float(prob)))
+    widths = np.maximum(stops - starts, 0)
+    ends = np.cumsum(widths)
+    total = int(ends[-1]) if len(ends) else 0
+    picks = np.empty(0, dtype=np.int64)
+    if total and prob >= 1.0:
+        picks = np.arange(total, dtype=np.int64)
+    elif total and prob > 0.0:
+        count = rng.binomial(total, prob)
+        if count:
+            picks = rng.choice(total, size=count, replace=False)
+            picks.sort()
+    # Virtual position v lies in the first range whose end exceeds it.
+    which = np.searchsorted(ends, picks, side="right")
+    return picks + (starts - (ends - widths))[which]
 
 
 def bernoulli_sample(
@@ -42,20 +80,8 @@ def bernoulli_sample(
     -------
     The selected keys, in their original relative order.
     """
-    prob = min(1.0, max(0.0, float(prob)))
-    n = len(keys)
-    if n == 0 or prob == 0.0:
-        return keys[:0]
-    if prob >= 1.0:
-        return keys.copy()
-    # Drawing the count first (binomial) then positions is equivalent to n
-    # independent coin flips but touches O(count) memory instead of O(n).
-    count = rng.binomial(n, prob)
-    if count == 0:
-        return keys[:0]
-    idx = rng.choice(n, size=count, replace=False)
-    idx.sort()
-    return keys[idx]
+    whole = np.array([0, len(keys)], dtype=np.int64)
+    return keys[bernoulli_positions(whole[:1], whole[1:], prob, rng)]
 
 
 def bernoulli_sample_in_intervals(
@@ -80,36 +106,13 @@ def bernoulli_sample_in_intervals(
     ``sorted_keys`` must be ascending (the HSS local input is sorted before
     splitter determination starts, as in the paper's implementation).
 
-    Every interval's ``[start, stop)`` comes from two batched binary
-    searches; the draws per non-empty interval are exactly those of
-    :func:`bernoulli_sample` on its slice, in interval order, so the
-    generator stream does not depend on how the search is batched.
+    Equal, output and generator state alike, to :func:`bernoulli_sample`
+    on the concatenation of the intervals' key slices.
     """
-    prob = min(1.0, max(0.0, float(prob)))
-    if len(sorted_keys) == 0 or prob == 0.0 or len(lo) == 0:
-        return sorted_keys[:0]
     dtype = sorted_keys.dtype
     starts = np.searchsorted(sorted_keys, np.asarray(lo, dtype=dtype), "left")
     stops = np.searchsorted(sorted_keys, np.asarray(hi, dtype=dtype), "right")
-    widths = stops - starts
-    live = widths > 0
-    starts, widths = starts[live], widths[live]
-    if prob >= 1.0:
-        # Every key of every interval, in interval order: no draws.
-        offsets = np.cumsum(widths) - widths
-        idx = np.arange(int(widths.sum())) + np.repeat(starts - offsets, widths)
-        return sorted_keys[idx]
-    picks: list[np.ndarray] = []
-    for start, width in zip(starts.tolist(), widths.tolist()):
-        count = rng.binomial(width, prob)
-        if count:
-            idx = rng.choice(width, size=count, replace=False)
-            idx.sort()
-            idx += start
-            picks.append(idx)
-    if not picks:
-        return sorted_keys[:0]
-    return sorted_keys[np.concatenate(picks)]
+    return sorted_keys[bernoulli_positions(starts, stops, prob, rng)]
 
 
 def expected_total_sample(total_keys: int, prob: float) -> float:
