@@ -80,8 +80,8 @@ def bernoulli_sample(
     -------
     The selected keys, in their original relative order.
     """
-    whole = np.array([0, len(keys)], dtype=np.int64)
-    return keys[bernoulli_positions(whole[:1], whole[1:], prob, rng)]
+    starts, stops = np.zeros(1, dtype=np.int64), np.array([len(keys)])
+    return keys[bernoulli_positions(starts, stops, prob, rng)]
 
 
 def bernoulli_sample_in_intervals(

@@ -44,27 +44,17 @@ class TestRngTree:
         draws must not change, and a repeated (memoized) name must give the
         same stream as its first use."""
         pinned = {
-            (0, "hss-sample", 0): [
-                542593949602246448, 2947709070748727415, 1367829593242317185,
-            ],
-            (1, "hss-sample", 95): [
-                4513032608979205021, 2265880916660993073, 2471159272682824015,
-            ],
-            (7, "sampling", 3): [
-                2830622274605798434, 404320817037810791, 3655264668577353487,
-            ],
-            (2**40, "dataset", 0): [
-                4074838041970455818, 987813951921950983, 3067780365200122392,
-            ],
+            (0, "hss-sample", 0): [114345357, 117656307, 987104527],
+            (1, "hss-sample", 95): [978607951, 76796577, 491334602],
+            (7, "sampling", 3): [549794228, 613793363, 294287777],
+            (2**40, "dataset", 0): [389020214, 883589651, 945041901],
         }
         for _ in range(2):
             for (seed, name, index), want in pinned.items():
-                got = RngTree(seed).generator(name, index).integers(0, 2**62, 3)
+                got = RngTree(seed).generator(name, index).integers(0, 10**9, 3)
                 assert got.tolist() == want, (seed, name, index)
         child = RngTree(5).subtree("chaos").generator("jitter", 2)
-        assert child.integers(0, 2**62, 2).tolist() == [
-            1228635673159466459, 2876355335098266049,
-        ]
+        assert child.integers(0, 10**9, 3).tolist() == [391295875, 266417893, 192684591]
 
     def test_seed_property(self):
         assert RngTree(42).seed == 42
