@@ -58,11 +58,9 @@ def test_hss_host_work_is_per_rank_not_per_pair(monkeypatch):
             return real_sampler(sorted_keys, lo, hi, prob, counting)
         finally:
             in_sampler.pop()
-            for draw in ("binomial", "choice"):
-                calls[draw] += counting.draws[draw]
-                calls[f"max {draw} per call"] = max(
-                    calls[f"max {draw} per call"], counting.draws[draw]
-                )
+            for draw, count in counting.draws.items():
+                key = f"max {draw} per call"
+                calls[key] = max(calls[key], count)
 
     real_slice = Shard.slice
 
@@ -92,7 +90,6 @@ def test_hss_host_work_is_per_rank_not_per_pair(monkeypatch):
     assert calls["sampler"] <= rounds * P
     assert calls["sampler searchsorted"] == 3 * calls["sampler"]
     # ... and one draw over the union of its intervals.
-    assert calls["binomial"] > 0 and calls["choice"] > 0
     assert calls["max binomial per call"] == 1
     assert calls["max choice per call"] == 1
     assert calls["Shard.slice"] == 0
